@@ -591,7 +591,10 @@ func (e *engine) augment() int64 {
 	e.pforDyn(len(mateX), 512, func(w int, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x0 := int32(i)
-			if mateX[x0] != none || e.rootX[x0] != x0 {
+			// rootX first: augment never writes it, and once x0 is a root
+			// only this walk writes mateX[x0] — a non-root's mate may be
+			// flipping on another worker's path right now.
+			if e.rootX[x0] != x0 || mateX[x0] != none {
 				continue
 			}
 			y := e.leaf[x0]

@@ -778,7 +778,10 @@ func (c *Coordinator) drive(ctx context.Context, lastGood *matching.Matching) er
 			return fmt.Errorf("dist: recovery budget (%d) exhausted: %w", c.opts.MaxRecoveries, err) //lint:ignore hotpath-alloc error exit; the loop body is an entire epoch
 		}
 		if rerr := c.recoverRank(ctx, rd.rank); rerr != nil {
-			return fmt.Errorf("dist: recovering rank %d: %w", rd.rank, rerr) //lint:ignore hotpath-alloc error exit; the loop body is an entire epoch
+			// Keep the death cause in the chain too: a *PeerDownError marks
+			// the run transient, so a supervisor can retry it from the matching
+			// Run leaves behind.
+			return fmt.Errorf("dist: recovering rank %d: %w (after %w)", rd.rank, rerr, err) //lint:ignore hotpath-alloc error exit; the loop body is an entire epoch
 		}
 	}
 }

@@ -277,6 +277,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	defer func() { _ = sess.Close() }()
 	sess.Attach(link.conn)
 
+	// Deferred in this order so that, on return, cancel stops the heartbeat,
+	// watchdog and redial goroutines before wg.Wait waits for them; the
+	// other way round they idle until the lease expires.
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	runCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
@@ -298,9 +303,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		return time.Since(lastHeard)
 	}
 
-	var wg sync.WaitGroup
 	wg.Add(3)
-	defer wg.Wait()
 
 	go func() { // heartbeats keep the coordinator's failure detector fed
 		defer wg.Done()
