@@ -1,13 +1,11 @@
 // Command graftlint runs the repo's concurrency-invariant static analysis
 // suite (internal/analysis) over the module and reports findings with
 // file:line diagnostics. It is the machine-checkable wall in front of the
-// atomic-heavy matching kernels and the distributed runtime: alignment of
-// 64-bit atomics on 32-bit targets, atomic-vs-plain access discipline,
-// cache-line padding of per-worker state, context propagation of the
-// resilient entry points, error/panic hygiene, goroutine/lock/WaitGroup
-// flow rules, hot-path allocation, and the value-flow tier over the wire
-// protocol (exhaustive frame dispatch, socket-deadline hygiene, bounded
-// decode allocations, cancellable goroutine channel ops).
+// atomic-heavy matching kernels and the distributed runtime: cache-line
+// padding of per-worker state, context propagation of the resilient entry
+// points, error/panic hygiene, goroutine/lock/WaitGroup flow rules,
+// hot-path allocation, exhaustive frame dispatch, cancellable goroutine
+// channel ops, and lockset races over the points-to/escape tier.
 //
 // Usage:
 //

@@ -115,7 +115,7 @@ func TestChecksSelection(t *testing.T) {
 	root := writeFixtureModule(t)
 	// The fixture only has err-checked findings: selecting another check
 	// must come back clean.
-	code, out, _ := runLint(t, "-C", root, "-checks", "ctx-discipline,atomic-align")
+	code, out, _ := runLint(t, "-C", root, "-checks", "ctx-discipline,falseshare")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; output:\n%s", code, out)
 	}
@@ -158,10 +158,9 @@ func TestListChecks(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"atomic-align", "mixed-access", "falseshare", "ctx-discipline", "err-checked",
-		"goroutine-leak", "lock-discipline", "wg-balance", "hotpath-alloc",
-		"proto-exhaustive", "deadline-discipline", "bounded-decode", "ctx-select",
-		"shared-race", "aliased-lock", "global-mutable",
+		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
+		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
+		"ctx-select", "shared-race",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
@@ -203,7 +202,7 @@ func TestParseChecks(t *testing.T) {
 		{name: "single", in: "err-checked", want: []string{"err-checked"}},
 		{name: "spaces and commas", in: " err-checked , falseshare ,", want: []string{"err-checked", "falseshare"}},
 		{name: "negate one", in: "-hotpath-alloc", want: allBut("hotpath-alloc")},
-		{name: "negate two", in: "-shared-race,-aliased-lock", want: allBut("shared-race", "aliased-lock")},
+		{name: "negate two", in: "-shared-race,-lock-discipline", want: allBut("shared-race", "lock-discipline")},
 		{name: "mixed forms", in: "err-checked,-falseshare", wantErr: "use one form"},
 		{name: "negate unknown", in: "-no-such-check", wantErr: "unknown check"},
 		{name: "negate everything", in: strings.Join(negateAll, ","), wantErr: "nothing to run"},
@@ -324,7 +323,7 @@ func TestSARIFOutput(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"err-checked", "goroutine-leak", "lock-discipline", "wg-balance", "hotpath-alloc",
-		"proto-exhaustive", "deadline-discipline", "bounded-decode", "ctx-select", "lint-directive"} {
+		"proto-exhaustive", "ctx-select", "shared-race", "lint-directive"} {
 		if !ruleIDs[want] {
 			t.Errorf("driver rules missing %q", want)
 		}
@@ -336,7 +335,7 @@ func TestSARIFOutput(t *testing.T) {
 		"goroutine-leak": "warning",
 		"falseshare":     "note",
 		"hotpath-alloc":  "note",
-		"bounded-decode": "error",
+		"shared-race":    "error",
 		"ctx-select":     "error",
 	} {
 		if ruleLevels[rule] != level {

@@ -40,8 +40,6 @@ const helpURIBase = "https://graftmatch.dev/graftlint/checks#"
 // Checks returns the full suite in canonical order.
 func Checks() []Check {
 	cs := []Check{
-		AtomicAlign(),
-		MixedAccess(),
 		FalseShare(),
 		CtxDiscipline(),
 		ErrChecked(),
@@ -50,12 +48,8 @@ func Checks() []Check {
 		WGBalance(),
 		HotPathAlloc(),
 		ProtoExhaustive(),
-		DeadlineDiscipline(),
-		BoundedDecode(),
 		CtxSelect(),
 		SharedRace(),
-		AliasedLock(),
-		GlobalMutable(),
 	}
 	for i := range cs {
 		cs[i].HelpURI = helpURIBase + cs[i].Name

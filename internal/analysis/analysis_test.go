@@ -22,8 +22,6 @@ var fixtureCases = []struct {
 	checks []string
 	cfg    analysis.Config
 }{
-	{"atomicalign", []string{"atomic-align"}, analysis.Config{}},
-	{"mixedaccess", []string{"mixed-access"}, analysis.Config{}},
 	{"falseshare", []string{"falseshare"}, analysis.Config{}},
 	{"ctxdiscipline", []string{"ctx-discipline"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"errchecked", []string{"err-checked"}, analysis.Config{PanicPackages: []string{"neg"}}},
@@ -32,12 +30,8 @@ var fixtureCases = []struct {
 	{"wgbalance", []string{"wg-balance"}, analysis.Config{}},
 	{"hotpathalloc", []string{"hotpath-alloc"}, analysis.Config{HotPackages: []string{"pos", "neg"}}},
 	{"protoexhaustive", []string{"proto-exhaustive"}, analysis.Config{}},
-	{"deadlinediscipline", []string{"deadline-discipline"}, analysis.Config{}},
-	{"boundeddecode", []string{"bounded-decode"}, analysis.Config{}},
 	{"ctxselect", []string{"ctx-select"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"sharedrace", []string{"shared-race"}, analysis.Config{}},
-	{"aliasedlock", []string{"aliased-lock"}, analysis.Config{}},
-	{"globalmutable", []string{"global-mutable"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"suppress", nil, analysis.Config{}},
 }
 
@@ -133,10 +127,9 @@ func TestRunUnknownCheck(t *testing.T) {
 
 func TestCheckNames(t *testing.T) {
 	want := []string{
-		"atomic-align", "mixed-access", "falseshare", "ctx-discipline", "err-checked",
-		"goroutine-leak", "lock-discipline", "wg-balance", "hotpath-alloc",
-		"proto-exhaustive", "deadline-discipline", "bounded-decode", "ctx-select",
-		"shared-race", "aliased-lock", "global-mutable",
+		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
+		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
+		"ctx-select", "shared-race",
 	}
 	got := analysis.CheckNames()
 	if len(got) != len(want) {

@@ -563,60 +563,3 @@ func (e *Escape) ExcludedSites(f *Func, pos token.Pos) map[int]bool {
 	}
 	return out
 }
-
-// SharedMarker accumulates, per abstract object, the union of contexts its
-// accesses were observed in — the "reachable from more than one goroutine"
-// marking the race checks consume.
-type SharedMarker struct {
-	e    *Escape
-	ctxs map[*Object]CtxSet
-}
-
-// NewSharedMarker returns an empty marker.
-func (e *Escape) NewSharedMarker() *SharedMarker {
-	return &SharedMarker{e: e, ctxs: map[*Object]CtxSet{}}
-}
-
-// Mark records that obj was accessed from the given contexts.
-func (m *SharedMarker) Mark(obj *Object, ctxs CtxSet) {
-	s, ok := m.ctxs[obj]
-	if !ok {
-		s = CtxSet{}
-		m.ctxs[obj] = s
-	}
-	for id := range ctxs {
-		s[id] = true
-	}
-}
-
-// Contexts returns the accumulated context union for obj.
-func (m *SharedMarker) Contexts(obj *Object) CtxSet { return m.ctxs[obj] }
-
-// Shared reports whether obj is reachable from more than one goroutine:
-// its accesses span at least two contexts, or any one multi-instance
-// context (every instance is its own goroutine).
-func (m *SharedMarker) Shared(obj *Object) bool {
-	s := m.ctxs[obj]
-	if len(s) >= 2 {
-		return true
-	}
-	for id := range s {
-		if m.e.sites[id].Multi {
-			return true
-		}
-	}
-	return false
-}
-
-// SharedCtxs reports the shared test over a bare context set.
-func (e *Escape) SharedCtxs(s CtxSet) bool {
-	if len(s) >= 2 {
-		return true
-	}
-	for id := range s {
-		if e.sites[id].Multi {
-			return true
-		}
-	}
-	return false
-}

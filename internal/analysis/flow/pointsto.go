@@ -129,7 +129,6 @@ type PointsTo struct {
 	fldNodes  map[fieldNodeKey]*pnode
 	retNodes  map[*Func][]*pnode
 	litFuncs  map[*ast.FuncLit]*Func
-	parentFn  map[*ast.FuncLit]ast.Node // enclosing FuncDecl/FuncLit of each literal
 
 	work   []*pnode
 	inWork map[*pnode]bool
@@ -162,7 +161,6 @@ func NewPointsTo(fset *token.FileSet, cg *CallGraph) *PointsTo {
 		fldNodes: map[fieldNodeKey]*pnode{},
 		retNodes: map[*Func][]*pnode{},
 		litFuncs: map[*ast.FuncLit]*Func{},
-		parentFn: map[*ast.FuncLit]ast.Node{},
 		inWork:   map[*pnode]bool{},
 	}
 }
@@ -567,10 +565,6 @@ func (pt *PointsTo) LitFuncs() []*Func {
 	return out
 }
 
-// EnclosingOf returns the function node (FuncDecl or FuncLit) lexically
-// enclosing the literal, or nil.
-func (pt *PointsTo) EnclosingOf(lit *ast.FuncLit) ast.Node { return pt.parentFn[lit] }
-
 // ---------- constraint generation ----------
 
 // gen is the per-function constraint generator state.
@@ -607,16 +601,16 @@ func (pt *PointsTo) genFunc(f *Func) {
 			pt.varNode(v)
 		}
 	}
-	g.genBody(f.Body, f.Node)
+	g.genBody(f.Body)
 }
 
 // genBody walks a function body, descending into nested literals with the
 // literal as the new current function.
-func (g *gen) genBody(body *ast.BlockStmt, fnNode ast.Node) {
+func (g *gen) genBody(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			g.pt.registerLit(g.info, n, fnNode, g.fn)
+			g.pt.registerLit(g.info, n, g.fn)
 			return false
 		case *ast.AssignStmt:
 			g.genAssignStmt(n)
@@ -649,7 +643,7 @@ func (g *gen) genBody(body *ast.BlockStmt, fnNode ast.Node) {
 
 // registerLit records a literal as a synthetic Func (for spawn/context
 // analysis) and returns it.
-func (pt *PointsTo) registerLit(info *types.Info, lit *ast.FuncLit, parent ast.Node, parentFn *Func) *Func {
+func (pt *PointsTo) registerLit(info *types.Info, lit *ast.FuncLit, parentFn *Func) *Func {
 	if f, ok := pt.litFuncs[lit]; ok {
 		return f
 	}
@@ -659,11 +653,10 @@ func (pt *PointsTo) registerLit(info *types.Info, lit *ast.FuncLit, parent ast.N
 	}
 	f := &Func{Info: info, Node: lit, Body: lit.Body, Name: name}
 	pt.litFuncs[lit] = f
-	pt.parentFn[lit] = parent
 	// Generate the body exactly once, here: literals reached through any
 	// path (statement walk, call argument, go statement) get constraints.
 	sub := &gen{pt: pt, info: info, fn: f}
-	sub.genBody(lit.Body, lit)
+	sub.genBody(lit.Body)
 	return f
 }
 
@@ -952,11 +945,7 @@ func (g *gen) value(e ast.Expr) *pnode {
 	case *ast.FuncLit:
 		// Inside a package-level initializer g.fn is nil: the literal has no
 		// enclosing function, only the file.
-		var parent ast.Node
-		if g.fn != nil {
-			parent = g.fn.Node
-		}
-		lit := g.pt.registerLit(g.info, e, parent, g.fn)
+		lit := g.pt.registerLit(g.info, e, g.fn)
 		t := g.pt.newNode()
 		g.pt.addObj(t, g.pt.funcObject(lit))
 		return t

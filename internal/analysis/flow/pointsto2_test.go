@@ -322,10 +322,8 @@ func outer() func() {
 	if len(lits) != 1 {
 		t.Fatalf("expected 1 literal, got %d", len(lits))
 	}
-	lit := lits[0].Node.(*ast.FuncLit)
-	enc := pt.EnclosingOf(lit)
-	if fd, ok := enc.(*ast.FuncDecl); !ok || fd.Name.Name != "outer" {
-		t.Errorf("EnclosingOf should return outer's decl, got %T", enc)
+	if !strings.HasPrefix(lits[0].Name, "p.outer.func@") {
+		t.Errorf("literal name = %q, want it qualified by its enclosing outer", lits[0].Name)
 	}
 }
 
@@ -364,7 +362,7 @@ func after() {}`
 	if esc.Contexts(c)[parSite.ID] {
 		t.Error("caller must not share the synchronously joined region")
 	}
-	if esc.SharedCtxs(esc.Contexts(c)) {
+	if sharedCtxs(esc, esc.Contexts(c)) {
 		t.Error("caller should remain main-only")
 	}
 	if got := len(esc.Sites()); got < 2 {
@@ -411,7 +409,7 @@ func tick() {}`
 	if len(lits) != 1 {
 		t.Fatalf("expected handler literal, got %d", len(lits))
 	}
-	if !esc.SharedCtxs(esc.Contexts(lits[0])) {
+	if !sharedCtxs(esc, esc.Contexts(lits[0])) {
 		t.Error("registered handler literal must count as shared")
 	}
 	tk := fn(t, funcs, "tick")

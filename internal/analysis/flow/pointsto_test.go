@@ -316,7 +316,7 @@ func local() {}`
 	if len(wc) < 2 {
 		t.Fatalf("worker should run in main (it is exported to the module) plus the go context: %v", wc.IDs())
 	}
-	if !esc.SharedCtxs(wc) {
+	if !sharedCtxs(esc, wc) {
 		t.Fatal("worker's contexts should count as shared")
 	}
 	lc := esc.Contexts(l)
@@ -391,27 +391,6 @@ func helper() {}`
 	}
 }
 
-func TestEscapeSharedMarker(t *testing.T) {
-	src := `package p
-func f() { go g() }
-func g() {}`
-	pt, esc, funcs, _, _, _ := buildPT(t, src)
-	_ = pt
-	m := esc.NewSharedMarker()
-	o := &Object{ID: 999, Label: "test"}
-	m.Mark(o, esc.Contexts(fn(t, funcs, "f")))
-	if m.Shared(o) {
-		t.Fatal("single-context object should not be shared")
-	}
-	m.Mark(o, esc.Contexts(fn(t, funcs, "g")))
-	if !m.Shared(o) {
-		t.Fatal("object accessed from main and a spawned context is shared")
-	}
-	if got := m.Contexts(o); len(got) < 2 {
-		t.Fatalf("marker should accumulate both contexts: %v", got.IDs())
-	}
-}
-
 func TestEscapeWaitJoinWindow(t *testing.T) {
 	src := `package p
 import "sync"
@@ -454,11 +433,11 @@ func handle(w http.ResponseWriter, r *http.Request) {}
 func plain(x int) {}`
 	_, esc, funcs, _, _, _ := buildPT(t, src)
 	h := fn(t, funcs, "handle")
-	if !esc.SharedCtxs(esc.Contexts(h)) {
+	if !sharedCtxs(esc, esc.Contexts(h)) {
 		t.Fatal("handler-shaped function must count as shared (per-request instances)")
 	}
 	p := fn(t, funcs, "plain")
-	if esc.SharedCtxs(esc.Contexts(p)) {
+	if sharedCtxs(esc, esc.Contexts(p)) {
 		t.Fatal("plain function should not be shared")
 	}
 }
@@ -475,4 +454,19 @@ func f() {
 	if len(locs) != 0 {
 		t.Fatalf("deref of an untracked pointer must return no locations, got %v", locs)
 	}
+}
+
+// sharedCtxs is the "reachable from more than one goroutine" test over a
+// context set: at least two contexts, or one multi-instance context (every
+// instance is its own goroutine).
+func sharedCtxs(esc *Escape, s CtxSet) bool {
+	if len(s) >= 2 {
+		return true
+	}
+	for id := range s {
+		if esc.Site(id).Multi {
+			return true
+		}
+	}
+	return false
 }

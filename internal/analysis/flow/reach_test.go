@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"go/ast"
 	"go/types"
 	"strings"
 	"testing"
@@ -172,8 +171,5 @@ func use() int { return hook() }`
 	}
 	if !strings.HasPrefix(lits[0].Name, "func@") {
 		t.Errorf("parentless literal name = %q, want a bare func@ label", lits[0].Name)
-	}
-	if pt.EnclosingOf(lits[0].Node.(*ast.FuncLit)) != nil {
-		t.Error("a package-level initializer literal has no enclosing function")
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"graftmatch/internal/analysis/flow"
 )
 
 // flowState is the lazily built whole-program substrate shared by the
 // flow-sensitive checks: every declared function as a flow.Func, the
-// module-local call graph, a Func→Package index, and memoized transitive
-// properties (blocking, observing) over the call graph. The points-to and
-// escape layers on top are built separately (ptInfo) — only the value-flow
-// checks pay their cost.
+// module-local call graph, a Func→Package index, and a memoized transitive
+// blocking property over the call graph. The points-to and escape layers on
+// top are built separately (ptInfo) — only shared-race pays their cost.
 type flowState struct {
 	cg       *flow.CallGraph
 	pkgOf    map[*flow.Func]*Package
 	byInfo   map[*types.Info]*Package
 	blocking map[*types.Func]bool // memo: module function blocks (transitively)
-	observes map[*types.Func]int  // memo: 0 unknown, 1 yes, -1 no
 
 	pts    *flow.PointsTo
 	escape *flow.Escape
@@ -34,7 +33,6 @@ func (prog *Program) flowInfo() *flowState {
 		pkgOf:    map[*flow.Func]*Package{},
 		byInfo:   map[*types.Info]*Package{},
 		blocking: map[*types.Func]bool{},
-		observes: map[*types.Func]int{},
 	}
 	var funcs []*flow.Func
 	for _, pkg := range prog.Pkgs {
@@ -293,4 +291,21 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
+}
+
+// isInternal reports whether obj is declared in this module.
+func (prog *Program) isInternal(obj types.Object) bool {
+	if obj == nil || obj.Pkg() == nil {
+		return false
+	}
+	p := obj.Pkg().Path()
+	return p == prog.ModPath || strings.HasPrefix(p, prog.ModPath+"/")
+}
+
+// funcLabel names a function node for diagnostics.
+func funcLabel(node ast.Node) string {
+	if fd, ok := node.(*ast.FuncDecl); ok {
+		return fd.Name.Name
+	}
+	return "function literal"
 }

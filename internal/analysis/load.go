@@ -1,15 +1,17 @@
 // Package analysis implements graftlint, a repo-specific static-analysis
-// suite for the concurrency invariants the matching kernels depend on:
-// 64-bit atomic alignment on 32-bit targets, atomic-only access to shared
-// words, cache-line padding of per-worker state, context discipline of the
-// resilient entry points, and error/panic hygiene. It is built entirely on
-// the standard library (go/parser, go/ast, go/types, go/token, go/importer)
-// so the lint wall needs nothing the toolchain does not already ship.
+// suite for the concurrency invariants the matching kernels depend on that
+// go vet and go test -race do not already cover: cache-line padding of
+// per-worker state, context discipline of the resilient entry points,
+// error/panic hygiene, goroutine/lock/WaitGroup flow rules, and lockset
+// races on paths the race detector's tests never schedule. It is built
+// entirely on the standard library (go/parser, go/ast, go/types, go/token,
+// go/importer) so the lint wall needs nothing the toolchain does not
+// already ship.
 //
 // The unit of analysis is a Program: every package of the module, parsed
 // with comments and fully typechecked. Checks are whole-program — a field
-// written atomically in one package and plainly in another is exactly the
-// bug class a per-package pass cannot see.
+// written under a lock in one package and without it in another is exactly
+// the bug class a per-package pass cannot see.
 package analysis
 
 import (
@@ -40,12 +42,9 @@ type Program struct {
 	ModPath string     // module path; packages under it are "internal APIs"
 	Pkgs    []*Package // sorted by import path
 
-	// Sizes64 models the primary 64-bit target (gc/amd64); Sizes32 models
-	// the strictest 32-bit target (gc/386), where 64-bit atomics require
-	// explicit 8-byte alignment. atomic-align reasons under Sizes32,
-	// falseshare under Sizes64.
+	// Sizes64 models the primary 64-bit target (gc/amd64), the layout
+	// falseshare reasons under.
 	Sizes64 types.Sizes
-	Sizes32 types.Sizes
 
 	Config Config
 
@@ -135,7 +134,6 @@ func LoadTree(root, modPath string, cfg Config) (*Program, error) {
 		Fset:    fset,
 		ModPath: modPath,
 		Sizes64: types.SizesFor("gc", "amd64"),
-		Sizes32: types.SizesFor("gc", "386"),
 		Config:  cfg,
 	}
 	for _, p := range paths {

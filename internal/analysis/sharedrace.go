@@ -549,7 +549,7 @@ func raceInGroup(prog *Program, fs *flowState, key raceLoc, accs []*raceAccess, 
 	}
 	for _, a := range accs {
 		if a.atomic {
-			return Diagnostic{}, false // atomic discipline is mixed-access's domain
+			return Diagnostic{}, false // atomic discipline is go test -race's domain
 		}
 	}
 
@@ -715,4 +715,10 @@ func firstSpawnPos(fs *flowState, fn *flow.Func) token.Pos {
 		}
 	})
 	return first
+}
+
+// isInitFunc reports whether node is a package init function.
+func isInitFunc(node ast.Node) bool {
+	fd, isDecl := node.(*ast.FuncDecl)
+	return isDecl && fd.Recv == nil && fd.Name.Name == "init"
 }

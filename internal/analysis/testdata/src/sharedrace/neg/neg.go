@@ -65,7 +65,7 @@ func Constructed() {
 	}()
 }
 
-// Atomic counters are mixed-access's domain, not a lockset race.
+// Atomic counters are go test -race's domain, not a lockset race.
 type meter struct {
 	n int64
 }

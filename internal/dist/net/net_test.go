@@ -128,6 +128,29 @@ func TestReadDeadlineSurfacesTransient(t *testing.T) {
 	}
 }
 
+// TestSetTimeoutsDisarmsReadDeadline pins that turning the read timeout off
+// also clears the deadline the last Recv armed: Recv only arms deadlines
+// while a timeout is configured, so a stale one would fire on the first
+// read after it lapses. Each frame is in the socket buffer before its Recv,
+// so only the stale deadline can make the second Recv fail.
+func TestSetTimeoutsDisarmsReadDeadline(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	c, peer := connPair(t, Config{ReadTimeout: timeout})
+	exchange := func(stage string) {
+		t.Helper()
+		if err := peer.Send(7, []byte("x")); err != nil {
+			t.Fatalf("peer Send %s: %v", stage, err)
+		}
+		if _, _, err := c.Recv(); err != nil {
+			t.Fatalf("Recv %s: %v", stage, err)
+		}
+	}
+	exchange("under the read timeout")
+	c.SetTimeouts(0, 0)
+	time.Sleep(2 * timeout)
+	exchange("after the timeout was disabled")
+}
+
 func TestBackoffJitteredAndCapped(t *testing.T) {
 	b := &Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Seed: 1}
 	want := []time.Duration{10, 20, 40, 80, 80, 80} // nominal (pre-jitter) ladder, ms

@@ -356,12 +356,15 @@ func (r *pr) u64() uint64 {
 func (r *pr) i32() int32 { return int32(r.u32()) }
 func (r *pr) i64() int64 { return int64(r.u64()) }
 
+// i32s reads a count-prefixed []int32. Counts stay uint32 and are bounded
+// in uint64, here and in every decoder below: on a 32-bit target
+// int(0xFFFFFFFF) is -1, which passes a signed bound and panics in make.
 func (r *pr) i32s() []int32 {
-	n := int(r.u32())
+	n := r.u32()
 	if r.bad {
 		return nil
 	}
-	if len(r.b)-r.off < 4*n {
+	if uint64(len(r.b)-r.off) < 4*uint64(n) {
 		r.fail("element count exceeds frame")
 		return nil
 	}
@@ -376,11 +379,11 @@ func (r *pr) i32s() []int32 {
 }
 
 func (r *pr) msgs() []message {
-	n := int(r.u32())
+	n := r.u32()
 	if r.bad {
 		return nil
 	}
-	if len(r.b)-r.off < 13*n {
+	if uint64(len(r.b)-r.off) < 13*uint64(n) {
 		r.fail("message count exceeds frame")
 		return nil
 	}
@@ -491,11 +494,11 @@ func decodeTelemetry(b []byte) (telemetryFrame, error) {
 		Steps:   r.i64(),
 		MsgsOut: r.i64(),
 	}
-	n := int(r.u32())
+	n := r.u32()
 	if !r.bad && n > maxTelSpans {
 		r.fail("span count exceeds cap")
 	}
-	if !r.bad && len(r.b)-r.off < telSpanBytes*n {
+	if !r.bad && uint64(len(r.b)-r.off) < telSpanBytes*uint64(n) {
 		r.fail("span count exceeds frame")
 	}
 	if !r.bad && n > 0 {
@@ -509,14 +512,14 @@ func decodeTelemetry(b []byte) (telemetryFrame, error) {
 
 func decodeAbort(b []byte) (string, error) {
 	r := newPR("abort", b)
-	n := int(r.u32())
-	if !r.bad && len(r.b)-r.off < n {
+	n := r.u32()
+	if !r.bad && uint64(len(r.b)-r.off) < uint64(n) {
 		r.fail("reason length exceeds frame")
 	}
 	if r.bad {
 		return "", r.finish()
 	}
-	reason := string(r.b[r.off : r.off+n])
-	r.off += n
+	reason := string(r.b[r.off : r.off+int(n)])
+	r.off += int(n)
 	return reason, r.finish()
 }
