@@ -76,6 +76,23 @@ func (b *Bitmap) Clear(i int32) {
 	}
 }
 
+// Words returns the number of 64-bit words backing the bitmap; bit i lives
+// in word i/64.
+func (b *Bitmap) Words() int { return len(b.words) }
+
+// AppendClear appends the set bits of word k to dst in increasing order,
+// clears the word, and returns dst. Not safe against concurrent mutation
+// of word k.
+func (b *Bitmap) AppendClear(dst []int32, k int) []int32 {
+	w := b.words[k]
+	b.words[k] = 0
+	for w != 0 {
+		dst = append(dst, int32(k*wordBits+bits.TrailingZeros64(w)))
+		w &= w - 1
+	}
+	return dst
+}
+
 // Reset clears every bit. Not safe against concurrent mutation.
 func (b *Bitmap) Reset() {
 	for i := range b.words {

@@ -93,3 +93,31 @@ func TestCountMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendClear drains every word into one slice: the set bits come out
+// in increasing order and the bitmap is left empty.
+func TestAppendClear(t *testing.T) {
+	b := New(200) // spans four words, the last partial
+	want := []int32{0, 5, 63, 64, 100, 127, 128, 191, 192, 199}
+	for _, i := range want {
+		b.Set(i)
+	}
+	if b.Words() != 4 {
+		t.Fatalf("words = %d, want 4", b.Words())
+	}
+	var got []int32
+	for k := 0; k < b.Words(); k++ {
+		got = b.AppendClear(got, k)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	if b.Count() != 0 {
+		t.Fatalf("count after drain = %d", b.Count())
+	}
+}

@@ -9,12 +9,12 @@ import (
 	"graftmatch/internal/matchinit"
 )
 
-// TestAugmentRootTestRaceFree pins the order of augment's root test. Worker
-// A must not read mateX[x0] for a non-root x0 while worker B flips mateX[x0]
-// on its own augmenting path; testing rootX[x0] first (augment never writes
-// rootX, and only a root's own walk writes its mate) keeps the read private.
-// A stripped mesh after Karp–Sipser leaves a few long, thin paths spread
-// over many 512-vertex chunks, so `go test -race` catches the regression.
+// TestAugmentRootTestRaceFree runs augment under -race at p=2 and p=4 on
+// long, thin paths. Augment's path-start test reads only rootY and leaf
+// (leaf[rootY[y]] == y), which augment never writes, and only a path's own
+// walk touches its mates. A stripped mesh after Karp–Sipser leaves a few
+// long paths per phase, walked while other workers scan the rest of the
+// tree-Y log.
 func TestAugmentRootTestRaceFree(t *testing.T) {
 	g := gen.StripDiagonal(gen.Mesh(60, 60, 3))
 	ref := matching.New(g.NX(), g.NY())

@@ -16,9 +16,13 @@ import (
 const none = matching.None
 
 // phaseHook, when non-nil, is invoked after every BFS forest construction
-// (before augmentation). It exists solely for white-box invariant tests;
-// production code must leave it nil.
-var phaseHook func(*engine)
+// (before augmentation), and censusHook after every census and renewable
+// reset with the |activeX| the engine derived. They exist solely for white-box
+// invariant tests; production code must leave them nil.
+var (
+	phaseHook  func(*engine)
+	censusHook func(e *engine, activeX int64)
+)
 
 // TestHookWorkerFault, when non-nil, is invoked by every parallel top-down
 // worker at the start of each block it claims. It exists solely so tests can
@@ -64,19 +68,33 @@ type engine struct {
 	unvisitedY      int64
 	unvisitedYEdges int64
 
-	// census scratch queues (renewable/active Y, active X).
-	renewY, activeY, activeX *queue.Frontier
+	// treeY logs the claimed Y: it holds exactly {y : rootY[y] ≠ none},
+	// each once. Every claim appends through the per-worker yLocals, the
+	// census splits the log into activeY and renewMark, and the active
+	// part becomes the next phase's log by a Swap.
+	treeY   *queue.Frontier
+	yLocals []queue.Local
+
+	// census scratch: active and renewable Y queues, and the renewable
+	// marks the reset drains into renewY in id order.
+	renewY, activeY *queue.Frontier
+	renewMark       *bitmap.Bitmap
+
+	// card is |M|: the initial cardinality plus every path augmented since.
+	card int64
 
 	// unvisQ is the reusable collector of unvisited Y ids for bottom-up.
 	unvisQ *queue.Frontier
 
-	// bottomUpTripped disables further in-phase bottom-up traversal once a
-	// sweep's adoption rate drops below 1/α. In matching phases — unlike
-	// the whole-graph BFS the direction heuristic comes from — a large set
-	// of permanently unreachable Y vertices can persist across phases, and
-	// every bottom-up sweep rescans their entire adjacency for nothing.
-	// A low-yield sweep is the signature of that regime. Grafting sweeps
-	// (over renewableY, which is reachable by construction) are unaffected.
+	// bottomUpTripped disables bottom-up traversal for the rest of the run
+	// once one sweep's adoption rate drops below 1/α: nothing resets it, so
+	// every later level of every later phase runs top-down. In matching
+	// phases — unlike the whole-graph BFS the direction heuristic comes
+	// from — a large set of permanently unreachable Y vertices can persist
+	// across phases, and every bottom-up sweep rescans their entire
+	// adjacency for nothing. A low-yield sweep is the signature of that
+	// regime. Grafting sweeps (over renewableY, which is reachable by
+	// construction) are unaffected.
 	bottomUpTripped bool
 
 	edges      *par.Counter // edges traversed, per worker
@@ -138,9 +156,10 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		leaf:       make([]int32, nx),
 		cur:        queue.NewFrontier(nx),
 		next:       queue.NewFrontier(nx),
+		treeY:      queue.NewFrontier(ny),
 		renewY:     queue.NewFrontier(ny),
 		activeY:    queue.NewFrontier(ny),
-		activeX:    queue.NewFrontier(nx),
+		renewMark:  bitmap.New(ny),
 		unvisQ:     queue.NewFrontier(ny),
 		edges:      par.NewCounter(opts.Threads),
 		claims:     par.NewCounter(opts.Threads),
@@ -159,11 +178,13 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		e.visited = make([]int32, ny)
 	}
 	e.locals = queue.NewLocals(opts.Threads, e.next)
-	e.stats.InitialCardinality = m.Cardinality()
+	e.yLocals = queue.NewLocals(opts.Threads, e.treeY)
+	e.card = m.Cardinality()
+	e.stats.InitialCardinality = e.card
 	e.met = newMetrics(opts.Recorder)
 	qresv := opts.Recorder.Counter("graftmatch_queue_reservations_total",
 		"atomic block reservations on the frontier queues")
-	for _, f := range []*queue.Frontier{e.cur, e.next, e.renewY, e.activeY, e.activeX, e.unvisQ} {
+	for _, f := range []*queue.Frontier{e.cur, e.next, e.treeY, e.renewY, e.activeY, e.unvisQ} {
 		f.Instrument(qresv)
 	}
 
@@ -316,7 +337,7 @@ func (e *engine) run() {
 		}
 
 		e.stats.Phases++
-		card := e.m.Cardinality()
+		card := e.card
 		e.met.phases.Add(0, 1)
 		e.met.rec.Span("core", "phase", phaseStart, time.Since(phaseStart), card)
 		e.met.rec.PhaseDone(e.stats.Algorithm, e.stats.Phases, card)
@@ -336,7 +357,9 @@ func (e *engine) run() {
 }
 
 // seedFrontierFromUnmatched sets every unmatched X vertex as the root of a
-// fresh singleton active tree and makes them the frontier.
+// fresh singleton active tree and makes them the frontier. Every matched X
+// leaves its tree, which is how a rebuild clears the old forest's X side:
+// a rebuild is the only phase step that passes over all of X.
 func (e *engine) seedFrontierFromUnmatched() {
 	e.cur.Reset()
 	mateX := e.m.MateX
@@ -349,6 +372,8 @@ func (e *engine) seedFrontierFromUnmatched() {
 				e.rootX[x] = x
 				e.leaf[x] = none
 				l.Push(x)
+			} else {
+				e.rootX[i] = none
 			}
 		}
 		l.Flush()
@@ -391,7 +416,7 @@ func (e *engine) topDown() {
 		if TestHookWorkerFault != nil {
 			TestHookWorkerFault(w)
 		}
-		l := &e.locals[w]
+		l, yl := &e.locals[w], &e.yLocals[w]
 		var edges, claims, claimedDeg int64
 		for i := lo; i < hi; i++ {
 			x := f[i]
@@ -412,6 +437,7 @@ func (e *engine) topDown() {
 				claimedDeg += e.g.DegY(y)
 				e.parentY[y] = x
 				e.rootY[y] = root
+				yl.Push(y)
 				if mate := mateY[y]; mate != none {
 					e.rootX[mate] = root
 					l.Push(mate)
@@ -421,6 +447,7 @@ func (e *engine) topDown() {
 			}
 		}
 		l.Flush()
+		yl.Flush()
 		e.edges.Add(w, edges)
 		e.claims.Add(w, claims)
 		e.claimedDeg.Add(w, claimedDeg)
@@ -433,7 +460,7 @@ func (e *engine) topDown() {
 func (e *engine) topDownSerial() {
 	f := e.cur.Slice()
 	mateY := e.m.MateY
-	l := &e.locals[0]
+	l, yl := &e.locals[0], &e.yLocals[0]
 	var edges, claims, claimedDeg int64
 	for _, x := range f {
 		root := e.rootX[x]
@@ -451,6 +478,7 @@ func (e *engine) topDownSerial() {
 			claimedDeg += e.g.DegY(y)
 			e.parentY[y] = x
 			e.rootY[y] = root
+			yl.Push(y)
 			if mate := mateY[y]; mate != none {
 				e.rootX[mate] = root
 				l.Push(mate)
@@ -460,6 +488,7 @@ func (e *engine) topDownSerial() {
 		}
 	}
 	l.Flush()
+	yl.Flush()
 	e.edges.Add(0, edges)
 	e.claims.Add(0, claims)
 	e.claimedDeg.Add(0, claimedDeg)
@@ -484,6 +513,7 @@ func (e *engine) collectUnvisitedY() []int32 {
 		}
 		e.unvisQ.PushBlock(buf[:n])
 	})
+	e.met.unvisScanned.Add(0, int64(len(e.rootY)))
 	return e.unvisQ.Slice()
 }
 
@@ -498,7 +528,7 @@ func (e *engine) bottomUp(r []int32) {
 	}
 	mateY := e.m.MateY
 	e.pforDyn(len(r), 64, func(w int, lo, hi int) {
-		l := &e.locals[w]
+		l, yl := &e.locals[w], &e.yLocals[w]
 		var edges, claims, claimedDeg int64
 		for i := lo; i < hi; i++ {
 			y := r[i]
@@ -516,6 +546,7 @@ func (e *engine) bottomUp(r []int32) {
 				e.visitedSetOwned(y)
 				e.parentY[y] = x
 				e.rootY[y] = root
+				yl.Push(y)
 				if mate := mateY[y]; mate != none {
 					atomic.StoreInt32(&e.rootX[mate], root)
 					l.Push(mate)
@@ -526,6 +557,7 @@ func (e *engine) bottomUp(r []int32) {
 			}
 		}
 		l.Flush()
+		yl.Flush()
 		e.edges.Add(w, edges)
 		e.claims.Add(w, claims)
 		e.claimedDeg.Add(w, claimedDeg)
@@ -535,7 +567,7 @@ func (e *engine) bottomUp(r []int32) {
 // bottomUpSerial is bottomUp without atomics for single-thread runs.
 func (e *engine) bottomUpSerial(r []int32) {
 	mateY := e.m.MateY
-	l := &e.locals[0]
+	l, yl := &e.locals[0], &e.yLocals[0]
 	var edges, claims, claimedDeg int64
 	for _, y := range r {
 		for _, x := range e.g.NbrY(y) {
@@ -549,6 +581,7 @@ func (e *engine) bottomUpSerial(r []int32) {
 			e.visitedSetOwned(y)
 			e.parentY[y] = x
 			e.rootY[y] = root
+			yl.Push(y)
 			if mate := mateY[y]; mate != none {
 				e.rootX[mate] = root
 				l.Push(mate)
@@ -559,6 +592,7 @@ func (e *engine) bottomUpSerial(r []int32) {
 		}
 	}
 	l.Flush()
+	yl.Flush()
 	e.edges.Add(0, edges)
 	e.claims.Add(0, claims)
 	e.claimedDeg.Add(0, claimedDeg)
@@ -581,24 +615,21 @@ func (e *engine) finishLevel() {
 
 // augment is Step 2: for every renewable tree (root x0 with leaf[x0] set),
 // walk the unique augmenting path leaf→root via parent and mate pointers,
-// flipping matched and unmatched edges. Paths are vertex-disjoint across
-// trees, so roots are processed in parallel.
+// flipping matched and unmatched edges. The walks start from the tree-Y log
+// at the y with leaf[rootY[y]] == y, exactly one end per renewable tree.
+// That test reads only rootY and leaf, which augment never writes, so it
+// cannot race with another worker's walk. Paths are vertex-disjoint across
+// trees, so the log is processed in parallel.
 func (e *engine) augment() int64 {
 	mateX, mateY := e.m.MateX, e.m.MateY
+	logY := e.treeY.Slice()
 	paths, lens := e.paths, e.lens
 	paths.Reset()
 	lens.Reset()
-	e.pforDyn(len(mateX), 512, func(w int, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x0 := int32(i)
-			// rootX first: augment never writes it, and once x0 is a root
-			// only this walk writes mateX[x0] — a non-root's mate may be
-			// flipping on another worker's path right now.
-			if e.rootX[x0] != x0 || mateX[x0] != none {
-				continue
-			}
-			y := e.leaf[x0]
-			if y == none {
+	e.pforDyn(len(logY), 512, func(w int, lo, hi int) {
+		for _, y := range logY[lo:hi] {
+			x0 := e.rootY[y]
+			if e.leaf[x0] != y {
 				continue
 			}
 			var edgeLen int64
@@ -618,6 +649,7 @@ func (e *engine) augment() int64 {
 		}
 	})
 	n := paths.Sum()
+	e.card += n
 	e.stats.AugPaths += n
 	e.stats.AugPathLen += lens.Sum()
 	e.met.paths.Add(0, n)
@@ -629,78 +661,82 @@ func (e *engine) augment() int64 {
 // grafts renewableY onto the active forest bottom-up or destroys everything
 // and restarts from the unmatched X vertices.
 func (e *engine) graftStep() {
-	// Census (lines 2–4): classify by leaf[root].
+	// Census (lines 2–4): split the tree-Y log by leaf[root]. Active Y go
+	// to activeY, which becomes the next phase's log; renewable Y are
+	// marked in renewMark. Every unmatched X is an active root and every
+	// active Y is matched to an active X, so |activeX| = (nx − |M|) +
+	// |activeY| needs no pass over X.
 	t := time.Now()
-	e.activeX.Reset()
 	e.activeY.Reset()
-	e.renewY.Reset()
-	if !e.pfor(len(e.rootX), func(w, lo, hi int) {
-		l := &e.locals[w]
-		l.Rebind(e.activeX)
-		for i := lo; i < hi; i++ {
-			if r := e.rootX[i]; r != none && e.leaf[r] == none {
-				l.Push(int32(i))
-			}
-		}
-		l.Flush()
-		l.Rebind(e.next)
-	}) {
-		return
-	}
-	if !e.pfor(len(e.rootY), func(w, lo, hi int) {
-		var act, ren [256]int32
-		na, nr := 0, 0
-		for i := lo; i < hi; i++ {
-			r := e.rootY[i]
-			if r == none {
+	logY := e.treeY.Slice()
+	if !e.pfor(len(logY), func(_, lo, hi int) {
+		var act [256]int32
+		na := 0
+		for _, y := range logY[lo:hi] {
+			if e.leaf[e.rootY[y]] != none {
+				e.renewMark.Set(y)
 				continue
 			}
-			if e.leaf[r] == none {
-				if na == len(act) {
-					e.activeY.PushBlock(act[:na])
-					na = 0
-				}
-				act[na] = int32(i)
-				na++
-			} else {
-				if nr == len(ren) {
-					e.renewY.PushBlock(ren[:nr])
-					nr = 0
-				}
-				ren[nr] = int32(i)
-				nr++
+			if na == len(act) {
+				e.activeY.PushBlock(act[:na])
+				na = 0
 			}
+			act[na] = y
+			na++
 		}
 		e.activeY.PushBlock(act[:na])
-		e.renewY.PushBlock(ren[:nr])
 	}) {
 		return
 	}
-	e.recordStep(matching.StepStatistics, "statistics", t, int64(e.renewY.Len()))
+	nRenew := len(logY) - e.activeY.Len()
+	e.treeY.Swap(e.activeY)
+	activeX := int64(e.g.NX()) - e.card + int64(e.treeY.Len())
+	e.recordStep(matching.StepStatistics, "statistics", t, int64(nRenew))
 
 	// Reset renewable Y state so those vertices can be reused (lines 6–7).
+	// The marks are drained word by word into renewY, so the graft sweep
+	// gets renewable Y in id order, as a scan of all of Y would yield them:
+	// the sweep's order decides which active tree adopts each vertex, and
+	// claim order would change the search itself.
 	t = time.Now()
-	renewable := e.renewY.Slice()
+	e.renewY.Reset()
+	words := e.renewMark.Words()
 	renewDeg := e.phaseDeg
 	renewDeg.Reset()
-	if !e.pfor(len(renewable), func(w, lo, hi int) {
+	if !e.pfor(words, func(w, lo, hi int) {
+		var buf [256]int32
+		ren := buf[:0]
 		var deg int64
-		for i := lo; i < hi; i++ {
-			y := renewable[i]
-			e.visitedClear(y)
-			e.rootY[y] = none
-			e.parentY[y] = none
-			deg += e.g.DegY(y)
+		for k := lo; k < hi; k++ {
+			if len(ren) > len(buf)-64 {
+				e.renewY.PushBlock(ren)
+				ren = buf[:0]
+			}
+			n := len(ren)
+			ren = e.renewMark.AppendClear(ren, k)
+			for _, y := range ren[n:] {
+				e.visitedClear(y)
+				e.rootY[y] = none
+				e.parentY[y] = none
+				deg += e.g.DegY(y)
+			}
 		}
+		e.renewY.PushBlock(ren)
 		renewDeg.Add(w, deg)
 	}) {
 		return
 	}
+	e.met.censusScanned.Add(0, int64(len(logY)+words))
+	if censusHook != nil {
+		censusHook(e, activeX)
+	}
+	renewable := e.renewY.Slice()
 	e.unvisitedY += int64(len(renewable))
 	e.unvisitedYEdges += renewDeg.Sum()
 
-	if e.opts.Grafting && float64(e.activeX.Len()) > float64(len(renewable))/e.opts.Alpha {
-		// Graft renewable Y vertices onto active trees (line 9).
+	if e.opts.Grafting && float64(activeX) > float64(len(renewable))/e.opts.Alpha {
+		// Graft renewable Y vertices onto active trees (line 9); the sweep
+		// logs its claims onto the active part.
 		e.next.Reset()
 		e.bottomUp(renewable)
 		if e.err != nil {
@@ -713,9 +749,10 @@ func (e *engine) graftStep() {
 		return
 	}
 
-	// Regrow from scratch (lines 11–15): clear active forest state and
-	// restart from the unmatched X vertices.
-	active := e.activeY.Slice()
+	// Regrow from scratch (lines 11–15): clear active forest state, empty
+	// the log, and restart from the unmatched X vertices; the seeding pass
+	// clears the X side.
+	active := e.treeY.Slice()
 	activeDeg := e.phaseDeg
 	activeDeg.Reset()
 	if !e.pfor(len(active), func(w, lo, hi int) {
@@ -733,14 +770,7 @@ func (e *engine) graftStep() {
 	}
 	e.unvisitedY += int64(len(active))
 	e.unvisitedYEdges += activeDeg.Sum()
-	ax := e.activeX.Slice()
-	if !e.pfor(len(ax), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.rootX[ax[i]] = none
-		}
-	}) {
-		return
-	}
+	e.treeY.Reset()
 	e.seedFrontierFromUnmatched()
 	e.stats.Rebuilds++
 	e.met.rebuilds.Add(0, 1)

@@ -96,27 +96,92 @@ func checkForestInvariants(t *testing.T, e *engine) {
 	}
 }
 
-// TestPhaseInvariants runs the engine serially with the white-box hook
-// installed and validates the forest at every phase boundary, across option
+// checkTreeYLog verifies that the tree-Y log holds each y with
+// rootY[y] ≠ none exactly once, and nothing else.
+func checkTreeYLog(t *testing.T, e *engine) {
+	t.Helper()
+	seen := make([]bool, e.g.NY())
+	for _, y := range e.treeY.Slice() {
+		if e.rootY[y] == none {
+			t.Fatalf("logged y=%d has no root", y)
+		}
+		if seen[y] {
+			t.Fatalf("y=%d logged twice", y)
+		}
+		seen[y] = true
+	}
+	for y, r := range e.rootY {
+		if r != none && !seen[y] {
+			t.Fatalf("y=%d with root %d missing from the log", y, r)
+		}
+	}
+}
+
+// checkCensus verifies, right after a census and the renewable reset, that
+// the log holds exactly the surviving forest, that renewable Y were reset
+// (in id order on a serial run), that the running cardinality is exact,
+// and that the |activeX| derived from (nx − |M|) + |activeY| equals a full
+// scan of X.
+func checkCensus(t *testing.T, e *engine, activeX int64) {
+	t.Helper()
+	checkTreeYLog(t, e)
+	for _, y := range e.treeY.Slice() {
+		if e.leaf[e.rootY[y]] != none {
+			t.Fatalf("renewable y=%d kept in the active log", y)
+		}
+	}
+	ren := e.renewY.Slice()
+	for i, y := range ren {
+		if e.visitedTest(y) || e.parentY[y] != none {
+			t.Fatalf("renewable y=%d not reset", y)
+		}
+		// Claim order would change the search: a serial run must graft
+		// renewable Y in id order, as a scan of Y yields them.
+		if e.opts.Threads == 1 && i > 0 && ren[i-1] >= y {
+			t.Fatalf("serial renewable Y out of id order: %d before %d", ren[i-1], y)
+		}
+	}
+	if card := e.m.Cardinality(); e.card != card {
+		t.Fatalf("running cardinality %d, matching has %d", e.card, card)
+	}
+	var scan int64
+	for _, r := range e.rootX {
+		if r != none && e.leaf[r] == none {
+			scan++
+		}
+	}
+	if activeX != scan {
+		t.Fatalf("derived |activeX| = %d, full scan counts %d", activeX, scan)
+	}
+}
+
+// TestPhaseInvariants runs the engine with the white-box hooks installed
+// and validates the forest and the tree-Y log at every phase boundary and
+// the census identities after every census, across thread counts, option
 // combinations and graph classes.
 func TestPhaseInvariants(t *testing.T) {
-	defer func() { phaseHook = nil }()
+	defer func() { phaseHook, censusHook = nil, nil }()
 
-	optionCases := []struct {
+	type optionCase struct {
 		name string
 		opts Options
-	}{
-		{"plain", Options{Threads: 1}.Defaults()},
-		{"diropt", Options{Threads: 1, DirectionOptimized: true}.Defaults()},
-		{"graft", Options{Threads: 1, Grafting: true}.Defaults()},
-		{"full", FullOptions(1)},
 	}
-	bitmapFull := FullOptions(1)
-	bitmapFull.VisitedBitmap = true
-	optionCases = append(optionCases, struct {
-		name string
-		opts Options
-	}{"full-bitmap", bitmapFull})
+	var optionCases []optionCase
+	for _, p := range []int{1, 2, 4} {
+		bitmapFull := FullOptions(p)
+		bitmapFull.VisitedBitmap = true
+		prefix := ""
+		if p > 1 {
+			prefix = fmt.Sprintf("p%d-", p)
+		}
+		optionCases = append(optionCases,
+			optionCase{prefix + "plain", Options{Threads: p}.Defaults()},
+			optionCase{prefix + "diropt", Options{Threads: p, DirectionOptimized: true}.Defaults()},
+			optionCase{prefix + "graft", Options{Threads: p, Grafting: true}.Defaults()},
+			optionCase{prefix + "full", FullOptions(p)},
+			optionCase{prefix + "full-bitmap", bitmapFull},
+		)
+	}
 
 	graphCases := []struct {
 		name string
@@ -143,16 +208,24 @@ func TestPhaseInvariants(t *testing.T) {
 	for _, oc := range optionCases {
 		for _, gc := range graphCases {
 			t.Run(fmt.Sprintf("%s/%s", oc.name, gc.name), func(t *testing.T) {
-				phases := 0
+				phases, censuses := 0, 0
 				phaseHook = func(e *engine) {
 					phases++
 					checkForestInvariants(t, e)
+					checkTreeYLog(t, e)
 				}
-				defer func() { phaseHook = nil }()
+				censusHook = func(e *engine, activeX int64) {
+					censuses++
+					checkCensus(t, e, activeX)
+				}
+				defer func() { phaseHook, censusHook = nil, nil }()
 				g, m := gc.mk()
 				Run(g, m, oc.opts)
 				if phases == 0 {
 					t.Fatal("hook never fired")
+				}
+				if censuses != phases-1 {
+					t.Fatalf("%d censuses in %d phases, want one after every augmenting phase", censuses, phases)
 				}
 				if err := matching.VerifyMaximum(g, m); err != nil {
 					t.Fatal(err)

@@ -28,8 +28,14 @@ type metrics struct {
 	paths    *obs.Counter
 	grafts   *obs.Counter
 	rebuilds *obs.Counter
-	steps    [matching.NumSteps]*obs.Counter
-	frontier *obs.Histogram
+	// censusScanned and unvisScanned count the entries the census and
+	// collectUnvisitedY read: scanned versus touched, the census reading
+	// the tree-Y log plus one renewable-mark word per 64 Y while the
+	// bottom-up collect reads all of Y.
+	censusScanned *obs.Counter
+	unvisScanned  *obs.Counter
+	steps         [matching.NumSteps]*obs.Counter
+	frontier      *obs.Histogram
 }
 
 func newMetrics(rec *obs.Recorder) metrics {
@@ -41,6 +47,10 @@ func newMetrics(rec *obs.Recorder) metrics {
 		grafts:   rec.Counter("graftmatch_core_grafts_total", "phases that grafted renewable vertices onto active trees"),
 		rebuilds: rec.Counter("graftmatch_core_rebuilds_total", "phases that destroyed all trees and rebuilt from unmatched X"),
 		frontier: rec.Histogram("graftmatch_core_frontier_size", "frontier size at each BFS level"),
+		censusScanned: rec.Counter("graftmatch_core_census_scanned_total",
+			"tree-Y log entries and renewable-mark words read by the per-phase census (Fig. 6 Statistics)"),
+		unvisScanned: rec.Counter("graftmatch_core_unvisited_scanned_total",
+			"Y ids read collecting the unvisited set for bottom-up steps"),
 	}
 	for i := range m.steps {
 		m.steps[i] = rec.Counter(stepMetricNames[i], "cumulative step time in nanoseconds (Fig. 6)")

@@ -71,6 +71,16 @@ func TestRecorderMatchesStats(t *testing.T) {
 	if resv := rec.Counter("graftmatch_queue_reservations_total", "").Value(); resv <= 0 {
 		t.Errorf("queue reservations = %d, want > 0", resv)
 	}
+	// Scanned versus touched: each bottom-up level's collect reads all of
+	// Y, while each census reads the tree-Y log (a subset of Y) and one
+	// renewable-mark word per 64 Y.
+	ny := int64(g.NY())
+	if got, want := rec.Counter("graftmatch_core_unvisited_scanned_total", "").Value(), ny*stats.BottomUpLevels; got != want {
+		t.Errorf("unvisited scanned = %d, want %d (ny × bottom-up levels)", got, want)
+	}
+	if got, max := rec.Counter("graftmatch_core_census_scanned_total", "").Value(), (ny+(ny+63)/64)*(stats.Phases-1); got <= 0 || got > max {
+		t.Errorf("census scanned = %d, want in (0, %d] (log and mark words × censuses)", got, max)
+	}
 
 	spans, _ := rec.Tracer().Snapshot()
 	var phaseSpans, stepSpans int64
