@@ -139,9 +139,9 @@ func (p *matchdProc) post(t *testing.T, path, body string) (int, http.Header, []
 	return resp.StatusCode, resp.Header, data
 }
 
-// waitForActive polls /instances until the interactive class shows at least
-// want busy compute slots.
-func waitForActive(t *testing.T, p *matchdProc, want int64) {
+// waitForAdmitted polls /instances until at least want interactive requests
+// are admitted: holding a compute slot or waiting in the class queue.
+func waitForAdmitted(t *testing.T, p *matchdProc, want int64) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
 		resp, err := http.Get(p.base + "/instances")
@@ -152,11 +152,12 @@ func waitForActive(t *testing.T, p *matchdProc, want int64) {
 				Admission []struct {
 					Class  string `json:"class"`
 					Active int64  `json:"active"`
+					Queued int64  `json:"queued"`
 				} `json:"admission"`
 			}
 			if json.Unmarshal(data, &listing) == nil {
 				for _, c := range listing.Admission {
-					if c.Class == "interactive" && c.Active >= want {
+					if c.Class == "interactive" && c.Active+c.Queued >= want {
 						return
 					}
 				}
@@ -164,7 +165,7 @@ func waitForActive(t *testing.T, p *matchdProc, want int64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("compute slots never became busy")
+	t.Fatal("requests were never all admitted")
 }
 
 // writeRegistry builds the fixture registry: "fast" is small, "slow" is big
@@ -348,9 +349,12 @@ func TestMatchdE2ESoak(t *testing.T) {
 			inFlight <- code
 		}()
 	}
-	// Signal only once both compute slots are demonstrably busy, so the
-	// drain provably overlaps admitted work.
-	waitForActive(t, p, 2)
+	// Signal only once all four are demonstrably admitted (both compute
+	// slots busy, the other two queued), so the drain provably overlaps
+	// admitted work. Waiting for the two busy slots alone raced the last
+	// two requests: when the solves left the daemon's handlers little CPU,
+	// those arrived after SIGTERM and were rightly refused with 503.
+	waitForAdmitted(t, p, cohort)
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
