@@ -13,7 +13,7 @@ import (
 // families are hot:
 //
 //   - the body of every function literal handed to an internal/par entry
-//     point (For, ForCtx, ForDynamic, ForDynamicCtx, Run, RunCtx) — extended
+//     point (For, ForCtx, ForDynamic, ForDynamicCtx) — extended
 //     by a fixpoint over module-local "hot wrappers": a function whose
 //     func-typed parameter is forwarded into a hot call, or invoked inside a
 //     literal given to one, is itself a hot entry (this discovers the repo's
@@ -40,7 +40,6 @@ func HotPathAlloc() Check {
 // per chunk on the worker pool.
 var parEntryNames = map[string]bool{
 	"For": true, "ForCtx": true, "ForDynamic": true, "ForDynamicCtx": true,
-	"Run": true, "RunCtx": true,
 }
 
 func isParEntry(obj *types.Func) bool {

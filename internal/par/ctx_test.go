@@ -60,9 +60,6 @@ func TestForCtxPreCancelled(t *testing.T) {
 	if err := ForDynamicCtx(ctx, 4, 100000, 64, body); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForDynamicCtx error = %v, want context.Canceled", err)
 	}
-	if err := RunCtx(ctx, 4, func(int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
-	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d iterations ran under a pre-cancelled context", ran.Load())
 	}
@@ -156,23 +153,6 @@ func TestForDynamicCtxPanicContainment(t *testing.T) {
 	}
 }
 
-func TestRunCtxPanicContainment(t *testing.T) {
-	var others atomic.Int32
-	err := RunCtx(context.Background(), 6, func(w int) {
-		if w == 3 {
-			panic("worker 3 down")
-		}
-		others.Add(1)
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error = %v, want *PanicError", err)
-	}
-	if others.Load() != 5 {
-		t.Fatalf("%d healthy workers completed, want 5", others.Load())
-	}
-}
-
 // TestPanicWinsOverCancellation: when a region both observes cancellation
 // and suffers a panic, the panic (the more informative failure) is reported.
 func TestPanicWinsOverCancellation(t *testing.T) {
@@ -217,6 +197,13 @@ func TestForRepanicsInCaller(t *testing.T) {
 			}
 		})
 	})
+	check("For p=1", func() {
+		For(1, 1000, func(_, lo, _ int) {
+			if lo == 0 {
+				panic("boom")
+			}
+		})
+	})
 	check("ForDynamic", func() {
 		ForDynamic(4, 1000, 8, func(_, lo, _ int) {
 			if lo == 0 {
@@ -224,23 +211,6 @@ func TestForRepanicsInCaller(t *testing.T) {
 			}
 		})
 	})
-	check("Run", func() {
-		Run(4, func(w int) {
-			if w == 0 {
-				panic("boom")
-			}
-		})
-	})
-}
-
-func TestRunCtxCompletes(t *testing.T) {
-	var count atomic.Int32
-	if err := RunCtx(context.Background(), 7, func(int) { count.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 7 {
-		t.Fatalf("ran %d workers, want 7", count.Load())
-	}
 }
 
 func TestForCtxNilContext(t *testing.T) {

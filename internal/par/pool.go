@@ -50,30 +50,26 @@ func SchedulerOrSpawn(s Scheduler) Scheduler {
 // a process serving many simultaneous runs keeps its total compute
 // parallelism at the pool size instead of multiplying it per request.
 //
-// Deadlock freedom: a region never *requires* a pool worker. The caller runs
-// one slice of every region inline; a slice that cannot be enqueued (pool
-// saturated or closed) runs inline on the caller; and once the caller
-// finishes its own slice it steals back any of its slices the pool has not
-// started yet (each slice carries a claim flag, so pool and caller race for
-// it with a CAS and exactly one side runs it). A region therefore only ever
-// waits on slices that are actively executing on a resident worker. Under
-// overload execution degrades toward serial on the submitting goroutine —
-// graceful degradation rather than queue collapse — and a closed or wedged
-// pool still completes every region handed to it. This only works because
-// region slices are independent (the ForCtx/ForDynamicCtx contract): a slice
-// never blocks waiting for a sibling slice.
+// Deadlock freedom: a region never *requires* a pool worker. The caller
+// enqueues every slice of a region; a slice that cannot be enqueued (pool
+// saturated or closed) runs inline on the caller; and once every slice is
+// launched the caller steals back each one the pool has not started yet
+// (each slice carries a claim flag, so pool and caller race for it with a
+// CAS and exactly one side runs it). A region therefore only ever waits on
+// slices that are actively executing on a resident worker. Under overload
+// execution degrades toward serial on the submitting goroutine — graceful
+// degradation rather than queue collapse — and a closed or wedged pool still
+// completes every region handed to it. This only works because region
+// slices are independent (the ForCtx/ForDynamicCtx contract): a slice never
+// blocks waiting for a sibling slice.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *poolTask
 	stop    chan struct{} // closed by Close after the closed flag is set
 	wg      sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed against concurrent submit/Close
 	closed bool
-
-	// queued counts tasks handed to the pool and not yet started; it lets
-	// callers observe backlog (e.g. for admission decisions).
-	queued atomic.Int64
 }
 
 // NewPool starts a pool of `workers` resident workers (0 means
@@ -84,7 +80,7 @@ func NewPool(workers int) *Pool {
 		workers: workers,
 		// The buffer absorbs a burst of region slices without blocking
 		// submitters; beyond it, slices run inline on their caller.
-		tasks: make(chan func(), 4*workers),
+		tasks: make(chan *poolTask, 4*workers),
 		stop:  make(chan struct{}),
 	}
 	p.wg.Add(workers)
@@ -99,16 +95,14 @@ func (p *Pool) worker() {
 	for {
 		select {
 		case t := <-p.tasks:
-			p.queued.Add(-1)
-			t()
+			t.exec()
 		case <-p.stop:
 			// Drain tasks enqueued before Close flipped the flag; no new
 			// sends can arrive (submit checks closed under the lock).
 			for {
 				select {
 				case t := <-p.tasks:
-					p.queued.Add(-1)
-					t()
+					t.exec()
 				default:
 					return
 				}
@@ -119,10 +113,6 @@ func (p *Pool) worker() {
 
 // Workers returns the pool's resident worker count.
 func (p *Pool) Workers() int { return p.workers }
-
-// Backlog returns the number of submitted slices not yet started — a cheap
-// saturation signal for admission controllers.
-func (p *Pool) Backlog() int { return int(p.queued.Load()) }
 
 // Close stops the resident workers after the tasks already submitted have
 // run. Regions submitted after Close still complete, executed inline on
@@ -145,14 +135,15 @@ func (p *Pool) Close() {
 // submitting caller stealing it back: exactly one side wins the CAS and runs
 // it, the other skips.
 type poolTask struct {
-	claimed atomic.Bool
-	run     func()
+	claimed   atomic.Bool
+	r         *region
+	w, lo, hi int
 }
 
 // exec runs the task if this call wins the claim.
 func (t *poolTask) exec() {
 	if t.claimed.CompareAndSwap(false, true) {
-		t.run()
+		t.r.run(t.w, t.lo, t.hi)
 	}
 }
 
@@ -165,123 +156,21 @@ func (p *Pool) submit(t *poolTask) bool {
 		return false
 	}
 	select {
-	case p.tasks <- t.exec:
-		p.queued.Add(1)
+	case p.tasks <- t:
 		return true
 	default:
 		return false
 	}
 }
 
-// region tracks the slices a ForCtx/ForDynamicCtx call handed to the pool so
-// the caller can steal back the unstarted ones.
-type region struct {
-	wg        sync.WaitGroup
-	submitted []*poolTask
-}
-
-// launch wraps run in a poolTask and either enqueues it or executes it
-// inline when the pool will not take it.
-func (r *region) launch(p *Pool, run func()) {
-	r.wg.Add(1)
-	t := &poolTask{run: func() {
-		defer r.wg.Done()
-		run()
-	}}
-	if p.submit(t) {
-		r.submitted = append(r.submitted, t)
-		return
-	}
-	t.exec() // saturated or closed: degrade to inline execution
-}
-
-// finish steals back every slice the pool has not started (the WaitGroup
-// entries of stolen slices are released by exec) and then waits for the
-// slices a resident worker did start. After finish, the region only ever
-// waited on slices that were actively running.
-func (r *region) finish() {
-	for _, t := range r.submitted {
-		t.exec()
-	}
-	r.wg.Wait()
-}
-
-// ForCtx implements Scheduler over the resident workers with the same
-// static contiguous-block split as the package-level ForCtx. The caller's
-// goroutine always executes the last slice itself, then steals back any
-// unstarted sibling slices.
+// ForCtx implements Scheduler over the resident workers with the static
+// contiguous-block split of the package-level ForCtx.
 func (p *Pool) ForCtx(ctx context.Context, pp, n int, body func(worker, lo, hi int)) error {
-	pp = clampWorkers(pp)
-	if n <= 0 {
-		return nil
-	}
-	if pp > n {
-		pp = n
-	}
-	g := newGate(ctx)
-	if pp == 1 {
-		runBlocked(g, 0, 0, n, ctxGrain, body)
-		return g.err()
-	}
-	r := &region{submitted: make([]*poolTask, 0, pp-1)}
-	chunk := n / pp
-	rem := n % pp
-	lo := 0
-	last := 0
-	for w := 0; w < pp; w++ {
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		if w == pp-1 {
-			last = lo
-			break
-		}
-		sw, slo, shi := w, lo, hi
-		r.launch(p, func() { runBlocked(g, sw, slo, shi, ctxGrain, body) })
-		lo = hi
-	}
-	// Caller-runs slice: guarantees region progress even when every
-	// resident worker is busy with other regions.
-	runBlocked(g, pp-1, last, n, ctxGrain, body)
-	r.finish()
-	return g.err()
+	return forStatic(p, ctx, pp, n, body)
 }
 
-// ForDynamicCtx implements Scheduler with dynamic chunk self-scheduling over
-// the resident workers; slices claim chunks from a shared cursor exactly like
-// the package-level ForDynamicCtx.
+// ForDynamicCtx implements Scheduler over the resident workers with the
+// dynamic chunk claim of the package-level ForDynamicCtx.
 func (p *Pool) ForDynamicCtx(ctx context.Context, pp, n, grain int, body func(worker, lo, hi int)) error {
-	pp = clampWorkers(pp)
-	if n <= 0 {
-		return nil
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	g := newGate(ctx)
-	if pp == 1 {
-		runBlocked(g, 0, 0, n, grain, body)
-		return g.err()
-	}
-	cursor := new(atomic.Int64)
-	claim := func(w int) {
-		defer g.guard()
-		for !g.stopped() {
-			lo := cursor.Add(int64(grain)) - int64(grain)
-			if lo >= int64(n) {
-				return
-			}
-			hi := min(lo+int64(grain), int64(n))
-			body(w, int(lo), int(hi))
-		}
-	}
-	r := &region{submitted: make([]*poolTask, 0, pp-1)}
-	for w := 0; w < pp-1; w++ {
-		w := w
-		r.launch(p, func() { claim(w) })
-	}
-	claim(pp - 1) // caller-runs slice
-	r.finish()
-	return g.err()
+	return forDynamic(p, ctx, pp, n, grain, body)
 }

@@ -154,8 +154,8 @@ func TestPoolClosedRunsInline(t *testing.T) {
 }
 
 // TestPoolSaturationDegradesNotDeadlocks wedges every resident worker on a
-// slow region and checks another region still completes promptly via the
-// caller-runs fallback.
+// slow region and checks another region still completes promptly: its
+// caller steals back every slice the pool has not started.
 func TestPoolSaturationDegradesNotDeadlocks(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
