@@ -3,9 +3,9 @@
 // file:line diagnostics. It is the machine-checkable wall in front of the
 // atomic-heavy matching kernels and the distributed runtime: cache-line
 // padding of per-worker state, context propagation of the resilient entry
-// points, error/panic hygiene, goroutine/lock/WaitGroup flow rules,
-// hot-path allocation, exhaustive frame dispatch, cancellable goroutine
-// channel ops, and lockset races over the points-to/escape tier.
+// points, error/panic hygiene, lock/WaitGroup flow rules,
+// hot-path allocation, exhaustive frame dispatch, and cancellable goroutine
+// channel ops.
 //
 // Usage:
 //

@@ -158,9 +158,8 @@ func TestListChecks(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
-		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
-		"ctx-select", "shared-race",
+		"falseshare", "ctx-discipline", "err-checked", "lock-discipline",
+		"wg-balance", "hotpath-alloc", "proto-exhaustive", "ctx-select",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
@@ -202,9 +201,11 @@ func TestParseChecks(t *testing.T) {
 		{name: "single", in: "err-checked", want: []string{"err-checked"}},
 		{name: "spaces and commas", in: " err-checked , falseshare ,", want: []string{"err-checked", "falseshare"}},
 		{name: "negate one", in: "-hotpath-alloc", want: allBut("hotpath-alloc")},
-		{name: "negate two", in: "-shared-race,-lock-discipline", want: allBut("shared-race", "lock-discipline")},
+		{name: "negate two", in: "-ctx-select,-lock-discipline", want: allBut("ctx-select", "lock-discipline")},
 		{name: "mixed forms", in: "err-checked,-falseshare", wantErr: "use one form"},
 		{name: "negate unknown", in: "-no-such-check", wantErr: "unknown check"},
+		{name: "negate deleted shared-race", in: "-shared-race", wantErr: "unknown check"},
+		{name: "negate deleted atomic-align", in: "-atomic-align", wantErr: "unknown check"},
 		{name: "negate everything", in: strings.Join(negateAll, ","), wantErr: "nothing to run"},
 	}
 	for _, tc := range cases {
@@ -322,8 +323,8 @@ func TestSARIFOutput(t *testing.T) {
 			t.Errorf("rule %s helpUri = %q, want an anchor naming the check", r.ID, r.HelpURI)
 		}
 	}
-	for _, want := range []string{"err-checked", "goroutine-leak", "lock-discipline", "wg-balance", "hotpath-alloc",
-		"proto-exhaustive", "ctx-select", "shared-race", "lint-directive"} {
+	for _, want := range []string{"err-checked", "lock-discipline", "wg-balance", "hotpath-alloc",
+		"proto-exhaustive", "ctx-select", "lint-directive"} {
 		if !ruleIDs[want] {
 			t.Errorf("driver rules missing %q", want)
 		}
@@ -332,10 +333,8 @@ func TestSARIFOutput(t *testing.T) {
 	for rule, level := range map[string]string{
 		"err-checked":    "error",
 		"ctx-discipline": "warning",
-		"goroutine-leak": "warning",
 		"falseshare":     "note",
 		"hotpath-alloc":  "note",
-		"shared-race":    "error",
 		"ctx-select":     "error",
 	} {
 		if ruleLevels[rule] != level {

@@ -41,7 +41,7 @@ func TestDistFlagValidation(t *testing.T) {
 	path := writeTestMatrix(t)
 	cases := [][]string{
 		{"-dist-listen", "127.0.0.1:0", "-dist-join", "127.0.0.1:1", path}, // both roles
-		{"-dist-listen", "127.0.0.1:0", path},                             // no -dist-ranks
+		{"-dist-listen", "127.0.0.1:0", path},                              // no -dist-ranks
 		{"-dist-listen", "127.0.0.1:0", "-dist-ranks", "2", "-json", path},
 		{"-dist-join", "127.0.0.1:1", "-dist-chaos", "bogus", path},
 	}

@@ -43,13 +43,11 @@ func Checks() []Check {
 		FalseShare(),
 		CtxDiscipline(),
 		ErrChecked(),
-		GoroutineLeak(),
 		LockDiscipline(),
 		WGBalance(),
 		HotPathAlloc(),
 		ProtoExhaustive(),
 		CtxSelect(),
-		SharedRace(),
 	}
 	for i := range cs {
 		cs[i].HelpURI = helpURIBase + cs[i].Name

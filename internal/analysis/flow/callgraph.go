@@ -9,10 +9,10 @@ import (
 // literal, paired with the type info of its package.
 type Func struct {
 	Info *types.Info
-	Node ast.Node        // *ast.FuncDecl or *ast.FuncLit
-	Body *ast.BlockStmt  // non-nil
-	Obj  *types.Func     // declared object; nil for literals
-	Name string          // qualified diagnostic label ("pkg.Recv.Method" or "pkg.func@line")
+	Node ast.Node       // *ast.FuncDecl or *ast.FuncLit
+	Body *ast.BlockStmt // non-nil
+	Obj  *types.Func    // declared object; nil for literals
+	Name string         // qualified diagnostic label ("pkg.Recv.Method" or "pkg.func@line")
 
 	cfg *Graph
 }
@@ -71,20 +71,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// Callee resolves a call to its module-local Func, or nil: the static
-// resolution the flow checks traverse. An immediately invoked function
-// literal resolves to a synthetic Func for the literal.
-func (cg *CallGraph) Callee(info *types.Info, call *ast.CallExpr) *Func {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return &Func{Info: info, Node: lit, Body: lit.Body, Name: "func-literal"}
-	}
-	obj := CalleeObj(info, call)
-	if obj == nil {
-		return nil
-	}
-	return cg.byObj[obj]
 }
 
 // Terminates reports whether a statement-position call never returns:

@@ -235,16 +235,19 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		return exit
 
 	case *ast.RangeStmt:
-		cur.Nodes = append(cur.Nodes, s.X)
+		// The head holds the range clause without its body: the operand,
+		// and the per-iteration bind (a receive when ranging a channel).
+		// The body's statements live only in the body blocks, so a check
+		// inspecting the head never walks them out of order.
+		clause := *s
+		clause.Body = &ast.BlockStmt{Lbrace: s.Body.Lbrace, Rbrace: s.Body.Lbrace}
 		head := b.newBlock("range.head")
+		head.Nodes = append(head.Nodes, &clause)
 		body := b.newBlock("range.body")
 		exit := b.newBlock("range.exit")
 		b.edge(cur, head)
 		b.edge(head, body)
 		b.edge(head, exit)
-		if s.Key != nil || s.Value != nil {
-			body.Nodes = append(body.Nodes, s) // the per-iteration bind
-		}
 		label := b.takeLabel(s)
 		b.pushLoop(label, exit, head)
 		if t := b.stmtList(body, s.Body.List); t != nil {

@@ -13,9 +13,6 @@ func NewBitSet(n int) BitSet {
 	return BitSet{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the universe size.
-func (b BitSet) Len() int { return b.n }
-
 // Set adds bit i.
 func (b BitSet) Set(i int) { b.words[i/64] |= 1 << (i % 64) }
 
@@ -76,27 +73,6 @@ func (b BitSet) Equal(o BitSet) bool {
 		}
 	}
 	return true
-}
-
-// Empty reports whether no bit is set.
-func (b BitSet) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Bits returns the indices of set bits in ascending order.
-func (b BitSet) Bits() []int {
-	var out []int
-	for i := 0; i < b.n; i++ {
-		if b.Has(i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Problem is one forward dataflow problem over a CFG: block-level gen/kill

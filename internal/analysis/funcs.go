@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -12,16 +11,11 @@ import (
 // flowState is the lazily built whole-program substrate shared by the
 // flow-sensitive checks: every declared function as a flow.Func, the
 // module-local call graph, a Func→Package index, and a memoized transitive
-// blocking property over the call graph. The points-to and escape layers on
-// top are built separately (ptInfo) — only shared-race pays their cost.
+// blocking property over the call graph.
 type flowState struct {
 	cg       *flow.CallGraph
 	pkgOf    map[*flow.Func]*Package
-	byInfo   map[*types.Info]*Package
 	blocking map[*types.Func]bool // memo: module function blocks (transitively)
-
-	pts    *flow.PointsTo
-	escape *flow.Escape
 }
 
 // flowInfo builds (once) and returns the flow substrate.
@@ -31,12 +25,10 @@ func (prog *Program) flowInfo() *flowState {
 	}
 	fs := &flowState{
 		pkgOf:    map[*flow.Func]*Package{},
-		byInfo:   map[*types.Info]*Package{},
 		blocking: map[*types.Func]bool{},
 	}
 	var funcs []*flow.Func
 	for _, pkg := range prog.Pkgs {
-		fs.byInfo[pkg.Info] = pkg
 		for _, f := range flow.CollectFuncs(pkg.Types.Name(), pkg.Info, pkg.Files) {
 			funcs = append(funcs, f)
 			fs.pkgOf[f] = pkg
@@ -45,52 +37,6 @@ func (prog *Program) flowInfo() *flowState {
 	fs.cg = flow.NewCallGraph(funcs)
 	prog.fs = fs
 	return fs
-}
-
-// ptInfo builds (once) the points-to and goroutine-escape layers on top of
-// the flow substrate: every package-level var becomes a Global root, the
-// whole-module constraint system is solved, and contexts are assigned.
-func (prog *Program) ptInfo() *flowState {
-	fs := prog.flowInfo()
-	if fs.pts != nil {
-		return fs
-	}
-	var globals []flow.Global
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						globals = append(globals, flow.Global{Info: pkg.Info, Spec: vs})
-					}
-				}
-			}
-		}
-	}
-	fs.pts = flow.BuildPointsTo(prog.Fset, fs.cg, globals)
-	fs.escape = flow.BuildEscape(fs.pts, fs.cg)
-	return fs
-}
-
-// valueFuncs returns every function the points-to substrate knows — declared
-// functions first, then literals — paired with its package.
-func (fs *flowState) valueFuncs() []*flow.Func {
-	out := append([]*flow.Func{}, fs.cg.Funcs()...)
-	out = append(out, fs.pts.LitFuncs()...)
-	return out
-}
-
-// pkgFor resolves the package a flow.Func belongs to (literals resolve
-// through their type-checker Info).
-func (fs *flowState) pkgFor(f *flow.Func) *Package {
-	if pkg := fs.pkgOf[f]; pkg != nil {
-		return pkg
-	}
-	return fs.byInfo[f.Info]
 }
 
 // namedType returns the named type behind t after stripping one pointer,

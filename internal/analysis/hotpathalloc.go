@@ -209,9 +209,9 @@ func runHotPathAlloc(prog *Program) []Diagnostic {
 // message) that overlapping regions can produce.
 func dedupDiags(in []Diagnostic) []Diagnostic {
 	type k struct {
-		file          string
-		line, col     int
-		check, msg    string
+		file       string
+		line, col  int
+		check, msg string
 	}
 	seen := map[k]bool{}
 	var out []Diagnostic

@@ -77,3 +77,16 @@ func LiteralIndependence(g *guarded, ch chan int) {
 	}()
 	g.n++
 }
+
+// UnlockAroundRangeBody: each iteration drops the lock around the channel
+// send and retakes it. The range binds a value, and the send is only ever
+// reached with the lock released.
+func UnlockAroundRangeBody(g *guarded, ch chan int, xs []int) {
+	g.mu.Lock()
+	for _, x := range xs {
+		g.mu.Unlock()
+		ch <- x
+		g.mu.Lock()
+	}
+	g.mu.Unlock()
+}

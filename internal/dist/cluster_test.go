@@ -626,31 +626,56 @@ func TestClusterCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestClosedCounterFoldIsLocked pins a race fix: recoverRank used to fold a
-// retired session's counters into the slot after releasing s.mu, racing the
-// handshake path and the stats exporter, which both treat closedRetrans and
-// closedAttach as lock-guarded state. The fold now lives in
-// slot.foldClosedLocked and runs inside the critical section; this test
-// drives the real fold and the real exporter concurrently so `go test -race`
-// fails if the discipline regresses.
+// TestClosedCounterFoldIsLocked pins a race fix at its call site:
+// recoverRank used to fold a retired session's counters into the slot after
+// releasing s.mu, racing the handshake path and the stats exporter, which
+// both treat closedRetrans and closedAttach as lock-guarded state. The test
+// drives the real recoverRank, with a Respawn that re-installs a session
+// under s.mu as the handshake does, while a second goroutine runs the real
+// exporter, so `go test -race` fails if the fold leaves the critical section.
 func TestClosedCounterFoldIsLocked(t *testing.T) {
-	c := &Coordinator{slots: []*slot{{rank: 0, frames: make(chan stepDoneFrame, 1)}}}
+	c := &Coordinator{
+		slots: []*slot{{rank: 0, frames: make(chan stepDoneFrame, 1)}},
+		mon:   distnet.NewMonitor(time.Millisecond, 8),
+		opts:  ClusterOptions{RejoinWait: time.Second, Heartbeat: time.Millisecond},
+	}
 	s := c.slots[0]
+	c.opts.Respawn = func(int) error {
+		s.mu.Lock()
+		s.sess = distnet.NewSession(distnet.SessionConfig{})
+		s.alive = true
+		s.mu.Unlock()
+		return nil
+	}
+	if err := c.opts.Respawn(0); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 500; i++ {
-			sess := distnet.NewSession(distnet.SessionConfig{})
-			s.mu.Lock()
-			s.foldClosedLocked(sess)
-			s.mu.Unlock()
-			_ = sess.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.exportSessionStats()
+			}
 		}
 	}()
-	for i := 0; i < 500; i++ {
-		c.exportSessionStats()
+	for i := 0; i < 200; i++ {
+		if err := c.recoverRank(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
+	close(stop)
 	<-done
+	s.mu.Lock()
+	_ = s.sess.Close()
+	s.mu.Unlock()
+	if c.stats.RankDeaths != 200 {
+		t.Fatalf("RankDeaths = %d, want 200", c.stats.RankDeaths)
+	}
 	if c.stats.Attaches != 0 || c.stats.Retransmits != 0 {
 		t.Fatalf("idle sessions exported attaches=%d retransmits=%d, want 0",
 			c.stats.Attaches, c.stats.Retransmits)
